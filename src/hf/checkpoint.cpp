@@ -1,109 +1,29 @@
 #include "hf/checkpoint.h"
 
-#include <cstdio>
-#include <cstring>
+#include <span>
 #include <stdexcept>
+#include <string_view>
 
 #include "nn/network.h"
 #include "obs/registry.h"
 #include "obs/span.h"
 #include "simmpi/compress.h"
-#include "util/checksum.h"
 
 namespace bgqhf::hf {
 
-const char* to_string(CheckpointFault fault) {
-  switch (fault) {
-    case CheckpointFault::kIo:
-      return "checkpoint i/o error";
-    case CheckpointFault::kCorrupt:
-      return "checkpoint corrupt";
-    case CheckpointFault::kBadMagic:
-      return "checkpoint bad magic";
-    case CheckpointFault::kBadVersion:
-      return "checkpoint bad version";
-    case CheckpointFault::kShapeMismatch:
-      return "checkpoint shape mismatch";
-    case CheckpointFault::kSeedMismatch:
-      return "checkpoint seed mismatch";
-  }
-  return "checkpoint error";
-}
-
 namespace {
 
-constexpr char kMagic[8] = {'B', 'G', 'Q', 'H', 'F', 'C', 'K', 'P'};
+constexpr std::string_view kMagic{"BGQHFCKP", 8};
 constexpr std::uint32_t kVersion = 1;
 
 // In-memory weights blob (encode_weights_blob): distinct magic so a wire
 // payload is never mistaken for (or fed to) the file-checkpoint loaders.
-constexpr char kWeightsMagic[8] = {'B', 'G', 'Q', 'H', 'F', 'W', 'T', 'S'};
+constexpr std::string_view kWeightsMagic{"BGQHFWTS", 8};
 
-class Writer {
- public:
-  template <typename T>
-  void pod(const T& v) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    const std::size_t old = bytes_.size();
-    bytes_.resize(old + sizeof(T));
-    std::memcpy(bytes_.data() + old, &v, sizeof(T));
-  }
-  template <typename T>
-  void pod_vector(const std::vector<T>& v) {
-    pod(static_cast<std::uint64_t>(v.size()));
-    const std::size_t old = bytes_.size();
-    bytes_.resize(old + v.size() * sizeof(T));
-    if (!v.empty()) {
-      std::memcpy(bytes_.data() + old, v.data(), v.size() * sizeof(T));
-    }
-  }
-  std::vector<std::byte>& bytes() { return bytes_; }
+// Serialized HfIterationLog: eleven 8-byte fields plus the u8 failed flag.
+constexpr std::size_t kLogBytes = 11 * 8 + 1;
 
- private:
-  std::vector<std::byte> bytes_;
-};
-
-class Reader {
- public:
-  explicit Reader(const std::vector<std::byte>& bytes) : bytes_(bytes) {}
-  template <typename T>
-  T pod() {
-    static_assert(std::is_trivially_copyable_v<T>);
-    T v;
-    if (pos_ + sizeof(T) > bytes_.size()) {
-      throw CheckpointError(CheckpointFault::kCorrupt, "truncated file");
-    }
-    std::memcpy(&v, bytes_.data() + pos_, sizeof(T));
-    pos_ += sizeof(T);
-    return v;
-  }
-  template <typename T>
-  std::vector<T> pod_vector() {
-    const auto n = static_cast<std::size_t>(pod<std::uint64_t>());
-    if (pos_ + n * sizeof(T) > bytes_.size()) {
-      throw CheckpointError(CheckpointFault::kCorrupt, "truncated file");
-    }
-    std::vector<T> v(n);
-    if (n > 0) std::memcpy(v.data(), bytes_.data() + pos_, n * sizeof(T));
-    pos_ += n * sizeof(T);
-    return v;
-  }
-  /// Advance past `count` elements of T without materializing them.
-  template <typename T>
-  void skip(std::size_t count) {
-    if (pos_ + count * sizeof(T) > bytes_.size()) {
-      throw CheckpointError(CheckpointFault::kCorrupt, "truncated file");
-    }
-    pos_ += count * sizeof(T);
-  }
-  std::size_t pos() const { return pos_; }
-
- private:
-  const std::vector<std::byte>& bytes_;
-  std::size_t pos_ = 0;
-};
-
-void write_log(Writer& w, const HfIterationLog& log) {
+void write_log(util::ByteWriter& w, const HfIterationLog& log) {
   w.pod(static_cast<std::uint64_t>(log.iteration));
   w.pod(log.train_loss);
   w.pod(log.grad_norm);
@@ -120,51 +40,7 @@ void write_log(Writer& w, const HfIterationLog& log) {
   w.pod(static_cast<std::uint64_t>(log.heldout_evals));
 }
 
-/// Read the whole file, verify the CRC32 footer, and consume the magic and
-/// version header; the returned Reader points at the first payload field.
-std::vector<std::byte> read_validated(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    throw CheckpointError(CheckpointFault::kIo, "cannot open " + path);
-  }
-  std::vector<std::byte> bytes;
-  std::byte buf[1 << 16];
-  std::size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-    bytes.insert(bytes.end(), buf, buf + n);
-  }
-  std::fclose(f);
-
-  if (bytes.size() < sizeof(kMagic) + sizeof(std::uint32_t) * 2) {
-    throw CheckpointError(CheckpointFault::kCorrupt,
-                          "file too short: " + path);
-  }
-  std::uint32_t stored_crc = 0;
-  std::memcpy(&stored_crc, bytes.data() + bytes.size() - sizeof(stored_crc),
-              sizeof(stored_crc));
-  if (util::crc32(bytes.data(), bytes.size() - sizeof(stored_crc)) !=
-      stored_crc) {
-    throw CheckpointError(CheckpointFault::kCorrupt,
-                          "CRC mismatch (corrupt file): " + path);
-  }
-  return bytes;
-}
-
-void read_header(Reader& r, const std::string& path) {
-  for (const char expected : kMagic) {
-    if (r.pod<char>() != expected) {
-      throw CheckpointError(CheckpointFault::kBadMagic, path);
-    }
-  }
-  if (const auto v = r.pod<std::uint32_t>(); v != kVersion) {
-    throw CheckpointError(
-        CheckpointFault::kBadVersion,
-        "version " + std::to_string(v) + " in " + path + " (want " +
-            std::to_string(kVersion) + ")");
-  }
-}
-
-HfIterationLog read_log(Reader& r) {
+HfIterationLog read_log(util::ByteReader& r) {
   HfIterationLog log;
   log.iteration = static_cast<std::size_t>(r.pod<std::uint64_t>());
   log.train_loss = r.pod<double>();
@@ -183,68 +59,55 @@ HfIterationLog read_log(Reader& r) {
   return log;
 }
 
-}  // namespace
-
-void save_checkpoint(const TrainerCheckpoint& ckpt, const std::string& path) {
-  BGQHF_SPAN("fault", "checkpoint_save");
-  obs::global_add(obs::Schema::global().counter("hf.checkpoint.saves"));
-  Writer w;
-  for (const char c : kMagic) w.pod(c);
-  w.pod(kVersion);
-  w.pod(ckpt.completed_iterations);
-  w.pod(ckpt.hf_seed);
-  w.pod(ckpt.lambda);
-  w.pod(ckpt.loss_prev);
-  w.pod(ckpt.stall);
-  if (ckpt.theta.size() != ckpt.d0.size()) {
-    throw std::invalid_argument("checkpoint: theta/d0 size mismatch");
-  }
-  w.pod(static_cast<std::uint64_t>(ckpt.theta.size()));
-  for (const float v : ckpt.theta) w.pod(v);
-  for (const float v : ckpt.d0) w.pod(v);
-  w.pod(static_cast<std::uint64_t>(ckpt.logs.size()));
-  for (const auto& log : ckpt.logs) write_log(w, log);
-  const std::uint32_t crc = util::crc32(w.bytes().data(), w.bytes().size());
-  w.pod(crc);
-
-  const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) {
-    throw std::runtime_error("checkpoint: cannot open " + tmp);
-  }
-  const std::size_t written =
-      std::fwrite(w.bytes().data(), 1, w.bytes().size(), f);
-  const bool flushed = std::fclose(f) == 0;
-  if (written != w.bytes().size() || !flushed) {
-    std::remove(tmp.c_str());
-    throw std::runtime_error("checkpoint: short write to " + tmp);
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    throw std::runtime_error("checkpoint: rename to " + path + " failed");
-  }
-}
-
-TrainerCheckpoint load_checkpoint(const std::string& path) {
-  BGQHF_SPAN("fault", "checkpoint_load");
-  obs::global_add(obs::Schema::global().counter("hf.checkpoint.loads"));
-  const std::vector<std::byte> bytes = read_validated(path);
-  Reader r(bytes);
-  read_header(r, path);
-  TrainerCheckpoint ckpt;
+/// Both loaders' common prefix: the header fields, then theta. Leaves the
+/// reader at d0 and returns the parameter count.
+std::uint64_t read_through_theta(util::ByteReader& r,
+                                 TrainerCheckpoint& ckpt) {
   ckpt.completed_iterations = r.pod<std::uint64_t>();
   ckpt.hf_seed = r.pod<std::uint64_t>();
   ckpt.lambda = r.pod<double>();
   ckpt.loss_prev = r.pod<double>();
   ckpt.stall = r.pod<std::uint64_t>();
-  const auto n_params = static_cast<std::size_t>(r.pod<std::uint64_t>());
-  ckpt.theta.resize(n_params);
-  for (auto& v : ckpt.theta) v = r.pod<float>();
-  ckpt.d0.resize(n_params);
-  for (auto& v : ckpt.d0) v = r.pod<float>();
-  const auto n_logs = static_cast<std::size_t>(r.pod<std::uint64_t>());
-  ckpt.logs.reserve(n_logs);
-  for (std::size_t i = 0; i < n_logs; ++i) ckpt.logs.push_back(read_log(r));
+  const auto n_params = r.pod<std::uint64_t>();
+  ckpt.theta = r.pod_vector<float>(n_params);
+  return n_params;
+}
+
+}  // namespace
+
+void save_checkpoint(const TrainerCheckpoint& ckpt, const std::string& path) {
+  BGQHF_SPAN("fault", "checkpoint_save");
+  obs::global_add(obs::Schema::global().counter("hf.checkpoint.saves"));
+  if (ckpt.theta.size() != ckpt.d0.size()) {
+    throw std::invalid_argument("checkpoint: theta/d0 size mismatch");
+  }
+  util::ByteWriter w;
+  w.header(kMagic, kVersion);
+  w.pod(ckpt.completed_iterations);
+  w.pod(ckpt.hf_seed);
+  w.pod(ckpt.lambda);
+  w.pod(ckpt.loss_prev);
+  w.pod(ckpt.stall);
+  w.pod(static_cast<std::uint64_t>(ckpt.theta.size()));
+  w.pod_vector(ckpt.theta);
+  w.pod_vector(ckpt.d0);
+  w.pod(static_cast<std::uint64_t>(ckpt.logs.size()));
+  for (const auto& log : ckpt.logs) write_log(w, log);
+  util::write_file(path, std::move(w).seal());
+}
+
+TrainerCheckpoint load_checkpoint(const std::string& path) {
+  BGQHF_SPAN("fault", "checkpoint_load");
+  obs::global_add(obs::Schema::global().counter("hf.checkpoint.loads"));
+  const std::vector<std::byte> bytes = util::read_file(path);
+  util::ByteReader r = util::open_sealed(bytes, kMagic, kVersion, path);
+  TrainerCheckpoint ckpt;
+  const std::uint64_t n_params = read_through_theta(r, ckpt);
+  ckpt.d0 = r.pod_vector<float>(n_params);
+  const auto n_logs = r.pod<std::uint64_t>();
+  r.check_count(n_logs, kLogBytes);
+  ckpt.logs.reserve(static_cast<std::size_t>(n_logs));
+  for (std::uint64_t i = 0; i < n_logs; ++i) ckpt.logs.push_back(read_log(r));
   return ckpt;
 }
 
@@ -252,28 +115,19 @@ CheckpointWeights load_checkpoint_weights(const std::string& path) {
   BGQHF_SPAN("serve", "checkpoint_load_weights");
   obs::global_add(
       obs::Schema::global().counter("hf.checkpoint.weight_loads"));
-  const std::vector<std::byte> bytes = read_validated(path);
-  Reader r(bytes);
-  read_header(r, path);
-  CheckpointWeights w;
-  w.completed_iterations = r.pod<std::uint64_t>();
-  w.hf_seed = r.pod<std::uint64_t>();
-  r.pod<double>();         // lambda
-  r.pod<double>();         // loss_prev
-  r.pod<std::uint64_t>();  // stall
-  const auto n_params = static_cast<std::size_t>(r.pod<std::uint64_t>());
-  w.theta.resize(n_params);
-  for (auto& v : w.theta) v = r.pod<float>();
+  const std::vector<std::byte> bytes = util::read_file(path);
+  util::ByteReader r = util::open_sealed(bytes, kMagic, kVersion, path);
+  TrainerCheckpoint ckpt;
+  const std::uint64_t n_params = read_through_theta(r, ckpt);
   r.skip<float>(n_params);  // d0: CG-restart momentum, training-only
-  return w;
+  return {ckpt.completed_iterations, ckpt.hf_seed, std::move(ckpt.theta)};
 }
 
 std::vector<std::byte> encode_weights_blob(const CheckpointWeights& weights,
                                            WeightsWire wire) {
   obs::global_add(obs::Schema::global().counter("hf.checkpoint.encodes"));
-  Writer w;
-  for (const char c : kWeightsMagic) w.pod(c);
-  w.pod(kVersion);
+  util::ByteWriter w;
+  w.header(kWeightsMagic, kVersion);
   w.pod(static_cast<std::uint32_t>(wire));
   w.pod(weights.completed_iterations);
   w.pod(weights.hf_seed);
@@ -287,56 +141,50 @@ std::vector<std::byte> encode_weights_blob(const CheckpointWeights& weights,
     simmpi::CompressState state;
     std::vector<float> carrier = weights.theta;
     const simmpi::Payload body = simmpi::compress(carrier, copts, state);
-    std::vector<std::byte> bytes(body.data(), body.data() + body.size());
-    w.pod_vector(bytes);
+    w.pod(static_cast<std::uint64_t>(body.size()));
+    w.raw(body.data(), body.size());
   } else {
+    w.pod(static_cast<std::uint64_t>(weights.theta.size()));
     w.pod_vector(weights.theta);
   }
-  const std::uint32_t crc = util::crc32(w.bytes().data(), w.bytes().size());
-  w.pod(crc);
-  return std::move(w.bytes());
+  return std::move(w).seal();
 }
 
 CheckpointWeights decode_weights_blob(const std::vector<std::byte>& blob) {
-  if (blob.size() < sizeof(kWeightsMagic) + sizeof(std::uint32_t) * 2) {
-    throw CheckpointError(CheckpointFault::kCorrupt, "weights blob too short");
-  }
-  std::uint32_t stored_crc = 0;
-  std::memcpy(&stored_crc, blob.data() + blob.size() - sizeof(stored_crc),
-              sizeof(stored_crc));
-  if (util::crc32(blob.data(), blob.size() - sizeof(stored_crc)) !=
-      stored_crc) {
-    throw CheckpointError(CheckpointFault::kCorrupt,
-                          "weights blob CRC mismatch");
-  }
-  Reader r(blob);
-  for (const char expected : kWeightsMagic) {
-    if (r.pod<char>() != expected) {
-      throw CheckpointError(CheckpointFault::kBadMagic, "weights blob");
-    }
-  }
-  if (const auto v = r.pod<std::uint32_t>(); v != kVersion) {
-    throw CheckpointError(CheckpointFault::kBadVersion,
-                          "weights blob version " + std::to_string(v) +
-                              " (want " + std::to_string(kVersion) + ")");
-  }
+  util::ByteReader r =
+      util::open_sealed(blob, kWeightsMagic, kVersion, "weights blob");
   const auto wire = r.pod<std::uint32_t>();
   CheckpointWeights w;
   w.completed_iterations = r.pod<std::uint64_t>();
   w.hf_seed = r.pod<std::uint64_t>();
+  const auto count = r.pod<std::uint64_t>();
   switch (static_cast<WeightsWire>(wire)) {
     case WeightsWire::kF32:
-      w.theta = r.pod_vector<float>();
+      w.theta = r.pod_vector<float>(count);
       break;
     case WeightsWire::kBf16: {
-      const std::vector<std::byte> body = r.pod_vector<std::byte>();
-      w.theta.assign(simmpi::decoded_values(body), 0.0f);
-      simmpi::decode_overwrite(body, w.theta);
+      r.check_count(count, 1);
+      const std::span<const std::byte> body(
+          r.take(static_cast<std::size_t>(count)),
+          static_cast<std::size_t>(count));
+      // The body is a compress-codec blob with its own header; a dense
+      // bf16 body holds two bytes per value, so a larger claimed count is
+      // a lie, and any codec rejection is corruption of this blob.
+      try {
+        const std::size_t values = simmpi::decoded_values(body);
+        if (values > body.size() / sizeof(std::uint16_t)) {
+          r.fail(CheckpointFault::kCorrupt, "bf16 body value count");
+        }
+        w.theta.assign(values, 0.0f);
+        simmpi::decode_overwrite(body, w.theta);
+      } catch (const std::logic_error& e) {
+        r.fail(CheckpointFault::kCorrupt, e.what());
+      }
       break;
     }
     default:
-      throw CheckpointError(CheckpointFault::kCorrupt,
-                            "weights blob wire tag " + std::to_string(wire));
+      r.fail(CheckpointFault::kCorrupt,
+             "wire tag " + std::to_string(wire));
   }
   return w;
 }

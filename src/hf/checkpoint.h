@@ -7,24 +7,21 @@
 // a master-observed failure resumes and, absent faults, reproduces the
 // bitwise-identical trajectory of an uninterrupted run.
 //
-// File layout (little-endian; see docs/MODEL.md for the full map):
-//   magic "BGQHFCKP" | u32 version |
+// The file is a sealed util/format.h container, magic "BGQHFCKP",
+// version 1, whose payload is (little-endian; docs/MODEL.md has the map):
 //   u64 completed_iterations | u64 hf_seed |
 //   f64 lambda | f64 loss_prev | u64 stall |
 //   u64 n | f32 theta[n] | f32 d0[n] |
-//   u64 num_logs | per log: fixed 14-field record |
-//   u32 crc32 footer over every preceding byte
-// Writes go to "<path>.tmp" then rename, so a crash mid-write never
-// clobbers the previous good checkpoint; loads verify magic, version, and
-// CRC and throw std::runtime_error on any mismatch.
+//   u64 num_logs | per log: fixed 14-field record
+// Writes are atomic (tmp + rename); loads throw CheckpointError.
 #pragma once
 
 #include <cstdint>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "hf/optimizer.h"
+#include "util/format.h"
 
 namespace bgqhf::nn {
 class Network;
@@ -32,32 +29,11 @@ class Network;
 
 namespace bgqhf::hf {
 
-/// What a checkpoint load rejected. Callers (the serving engine's hot-swap
-/// path in particular) branch on this instead of parsing what() text.
-enum class CheckpointFault {
-  kIo,             // cannot open / short read / short write
-  kCorrupt,        // footer CRC mismatch or truncated payload
-  kBadMagic,       // not a BGQHFCKP file
-  kBadVersion,     // written by an incompatible format revision
-  kShapeMismatch,  // parameter count does not match the target network
-  kSeedMismatch,   // resume with a different HfOptions::seed
-};
-
-const char* to_string(CheckpointFault fault);
-
-/// Typed checkpoint error: every load/validate failure throws this rather
-/// than asserting, so a serving process survives a bad file on disk.
-class CheckpointError : public std::runtime_error {
- public:
-  CheckpointError(CheckpointFault fault, const std::string& detail)
-      : std::runtime_error(std::string(to_string(fault)) + ": " + detail),
-        fault_(fault) {}
-
-  CheckpointFault fault() const noexcept { return fault_; }
-
- private:
-  CheckpointFault fault_;
-};
+/// Checkpoint loads throw the shared container codec's typed error
+/// (util/format.h); callers (the serving engine's hot-swap path in
+/// particular) branch on fault() instead of parsing what() text.
+using CheckpointFault = util::FormatFault;
+using CheckpointError = util::FormatError;
 
 struct TrainerCheckpoint {
   /// Iterations fully executed (successful or failed) before the save.
@@ -74,7 +50,7 @@ struct TrainerCheckpoint {
 };
 
 /// Atomically write `ckpt` to `path` (tmp file + rename) with a CRC32
-/// footer. Throws std::runtime_error on I/O failure.
+/// footer. Throws CheckpointError{kIo} on I/O failure.
 void save_checkpoint(const TrainerCheckpoint& ckpt, const std::string& path);
 
 /// Load a checkpoint written by save_checkpoint. Throws CheckpointError
@@ -110,10 +86,11 @@ enum class WeightsWire : std::uint32_t { kF32 = 0, kBf16 = 1 };
 
 /// In-memory weights-only codec ("BGQHFWTS" magic) for live exchange
 /// between trainers — the LTFB tournament ships these blobs over simmpi
-/// instead of rendezvousing on the filesystem. Same Writer/Reader/CRC32
-/// machinery as the file format: the footer covers every byte, and decode
-/// throws CheckpointError{kCorrupt/kBadMagic/kBadVersion} on damage, so a
-/// bit-flipped wire payload is rejected rather than installed.
+/// instead of rendezvousing on the filesystem. The same sealed container
+/// as the file format: the footer covers every byte, and decode throws
+/// CheckpointError{kCorrupt/kBadMagic/kBadVersion} on damage, so a
+/// bit-flipped wire payload is rejected rather than installed. Payload:
+/// u32 wire | u64 completed_iterations | u64 hf_seed | u64 count | body.
 std::vector<std::byte> encode_weights_blob(
     const CheckpointWeights& weights, WeightsWire wire = WeightsWire::kF32);
 CheckpointWeights decode_weights_blob(const std::vector<std::byte>& blob);

@@ -1,7 +1,6 @@
 #include "serve/model_runtime.h"
 
 #include "hf/checkpoint.h"
-#include "nn/serialize.h"
 #include "obs/span.h"
 
 namespace bgqhf::serve {
@@ -17,12 +16,6 @@ std::shared_ptr<const ModelRuntime> ModelRuntime::from_checkpoint(
   auto runtime = std::make_shared<ModelRuntime>(std::move(net));
   runtime->trained_iterations_ = weights.completed_iterations;
   return runtime;
-}
-
-std::shared_ptr<const ModelRuntime> ModelRuntime::from_network_file(
-    const std::string& path) {
-  BGQHF_SPAN("serve", "model_load");
-  return std::make_shared<const ModelRuntime>(nn::load_network(path));
 }
 
 std::shared_ptr<const ModelRuntime> ModelRuntime::with_int8(

@@ -33,11 +33,6 @@ class ModelRuntime {
   static std::shared_ptr<const ModelRuntime> from_checkpoint(
       const std::string& path, const nn::Network& topology);
 
-  /// As above but from a nn::save_network file, which carries its own
-  /// topology (examples' train-then-serve flow).
-  static std::shared_ptr<const ModelRuntime> from_network_file(
-      const std::string& path);
-
   /// Quantize `net` to int8 against a replay corpus and gate it: the
   /// runtime scores through the pre-packed VNNI path only if the worst
   /// calibration-corpus logit stays within `tolerance` of fp32 — else

@@ -1,21 +1,19 @@
 #include "serve/quantized.h"
 
 #include <cmath>
-#include <cstdio>
-#include <cstring>
 #include <stdexcept>
-#include <type_traits>
+#include <string_view>
 
 #include "blas/epilogue.h"
 #include "hf/checkpoint.h"
 #include "obs/span.h"
-#include "util/checksum.h"
+#include "util/format.h"
 
 namespace bgqhf::serve {
 
 namespace {
 
-constexpr char kMagic[8] = {'B', 'G', 'Q', 'H', 'F', 'Q', 'W', '1'};
+constexpr std::string_view kMagic{"BGQHFQW1", 8};
 constexpr std::uint32_t kVersion = 1;
 
 /// max |v| over a matrix view (0 for an empty view).
@@ -33,60 +31,9 @@ float max_abs(blas::ConstMatrixView<float> m) {
 /// scale 1 keeps the codes (all zero) exact without a divide-by-zero.
 float scale_of(float maxabs) { return maxabs > 0.0f ? maxabs / 127.0f : 1.0f; }
 
-class Writer {
- public:
-  template <typename T>
-  void pod(const T& v) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    const std::size_t old = bytes_.size();
-    bytes_.resize(old + sizeof(T));
-    std::memcpy(bytes_.data() + old, &v, sizeof(T));
-  }
-  template <typename T>
-  void pod_vector(const std::vector<T>& v) {
-    const std::size_t old = bytes_.size();
-    bytes_.resize(old + v.size() * sizeof(T));
-    if (!v.empty()) {
-      std::memcpy(bytes_.data() + old, v.data(), v.size() * sizeof(T));
-    }
-  }
-  std::vector<std::byte>& bytes() { return bytes_; }
-
- private:
-  std::vector<std::byte> bytes_;
-};
-
-class Reader {
- public:
-  explicit Reader(const std::vector<std::byte>& bytes) : bytes_(bytes) {}
-  template <typename T>
-  T pod() {
-    static_assert(std::is_trivially_copyable_v<T>);
-    T v;
-    if (pos_ + sizeof(T) > bytes_.size()) {
-      throw hf::CheckpointError(hf::CheckpointFault::kCorrupt,
-                                "truncated quantized model");
-    }
-    std::memcpy(&v, bytes_.data() + pos_, sizeof(T));
-    pos_ += sizeof(T);
-    return v;
-  }
-  template <typename T>
-  std::vector<T> pod_vector(std::size_t n) {
-    if (n > (bytes_.size() - pos_) / sizeof(T)) {
-      throw hf::CheckpointError(hf::CheckpointFault::kCorrupt,
-                                "truncated quantized model");
-    }
-    std::vector<T> v(n);
-    if (n > 0) std::memcpy(v.data(), bytes_.data() + pos_, n * sizeof(T));
-    pos_ += n * sizeof(T);
-    return v;
-  }
-
- private:
-  const std::vector<std::byte>& bytes_;
-  std::size_t pos_ = 0;
-};
+// Serialized layer with the smallest legal dimensions (in = out = 1):
+// in, out, act, input_scale, then one row scale, one bias, one code.
+constexpr std::size_t kMinLayerBytes = 8 + 8 + 1 + 4 + 4 + 4 + 1;
 
 }  // namespace
 
@@ -210,9 +157,8 @@ nn::Network QuantizedModel::dequantize() const {
 
 void QuantizedModel::save(const std::string& path) const {
   BGQHF_SPAN("serve", "quantized_save");
-  Writer w;
-  for (const char c : kMagic) w.pod(c);
-  w.pod(kVersion);
+  util::ByteWriter w;
+  w.header(kMagic, kVersion);
   w.pod(trained_iterations_);
   w.pod(static_cast<std::uint64_t>(layers_.size()));
   for (const QuantizedLayer& ql : layers_) {
@@ -224,103 +170,44 @@ void QuantizedModel::save(const std::string& path) const {
     w.pod_vector(ql.bias);
     w.pod_vector(ql.wq);
   }
-  const std::uint32_t crc = util::crc32(w.bytes().data(), w.bytes().size());
-  w.pod(crc);
-
-  const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) {
-    throw hf::CheckpointError(hf::CheckpointFault::kIo,
-                              "cannot open " + tmp);
-  }
-  const std::size_t written =
-      std::fwrite(w.bytes().data(), 1, w.bytes().size(), f);
-  const bool flushed = std::fclose(f) == 0;
-  if (written != w.bytes().size() || !flushed) {
-    std::remove(tmp.c_str());
-    throw hf::CheckpointError(hf::CheckpointFault::kIo,
-                              "short write to " + tmp);
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    throw hf::CheckpointError(hf::CheckpointFault::kIo,
-                              "rename to " + path + " failed");
-  }
+  util::write_file(path, std::move(w).seal());
 }
 
 QuantizedModel QuantizedModel::load(const std::string& path) {
   BGQHF_SPAN("serve", "quantized_load");
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    throw hf::CheckpointError(hf::CheckpointFault::kIo,
-                              "cannot open " + path);
-  }
-  std::vector<std::byte> bytes;
-  std::byte buf[1 << 16];
-  std::size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-    bytes.insert(bytes.end(), buf, buf + n);
-  }
-  std::fclose(f);
-
-  if (bytes.size() < sizeof(kMagic) + sizeof(std::uint32_t) * 2) {
-    throw hf::CheckpointError(hf::CheckpointFault::kCorrupt,
-                              "file too short: " + path);
-  }
-  std::uint32_t stored_crc = 0;
-  std::memcpy(&stored_crc, bytes.data() + bytes.size() - sizeof(stored_crc),
-              sizeof(stored_crc));
-  if (util::crc32(bytes.data(), bytes.size() - sizeof(stored_crc)) !=
-      stored_crc) {
-    throw hf::CheckpointError(hf::CheckpointFault::kCorrupt,
-                              "CRC mismatch (corrupt file): " + path);
-  }
-
-  Reader r(bytes);
-  for (const char expected : kMagic) {
-    if (r.pod<char>() != expected) {
-      throw hf::CheckpointError(hf::CheckpointFault::kBadMagic, path);
-    }
-  }
-  if (const auto v = r.pod<std::uint32_t>(); v != kVersion) {
-    throw hf::CheckpointError(
-        hf::CheckpointFault::kBadVersion,
-        "version " + std::to_string(v) + " in " + path + " (want " +
-            std::to_string(kVersion) + ")");
-  }
+  using hf::CheckpointFault;
+  const std::vector<std::byte> bytes = util::read_file(path);
+  util::ByteReader r = util::open_sealed(bytes, kMagic, kVersion, path);
 
   QuantizedModel q;
   q.trained_iterations_ = r.pod<std::uint64_t>();
-  const auto num_layers = static_cast<std::size_t>(r.pod<std::uint64_t>());
-  if (num_layers == 0) {
-    throw hf::CheckpointError(hf::CheckpointFault::kCorrupt,
-                              "no layers in " + path);
-  }
-  q.layers_.resize(num_layers);
-  for (std::size_t l = 0; l < num_layers; ++l) {
+  const auto num_layers = r.pod<std::uint64_t>();
+  if (num_layers == 0) r.fail(CheckpointFault::kCorrupt, "no layers");
+  r.check_count(num_layers, kMinLayerBytes);
+  q.layers_.resize(static_cast<std::size_t>(num_layers));
+  for (std::size_t l = 0; l < q.layers_.size(); ++l) {
     QuantizedLayer& ql = q.layers_[l];
     ql.in = static_cast<std::size_t>(r.pod<std::uint64_t>());
     ql.out = static_cast<std::size_t>(r.pod<std::uint64_t>());
     if (ql.in == 0 || ql.out == 0) {
-      throw hf::CheckpointError(hf::CheckpointFault::kCorrupt,
-                                "zero layer dimension in " + path);
+      r.fail(CheckpointFault::kCorrupt, "zero layer dimension");
     }
     if (l > 0 && ql.in != q.layers_[l - 1].out) {
-      throw hf::CheckpointError(
-          hf::CheckpointFault::kShapeMismatch,
-          "layer " + std::to_string(l) + " input " + std::to_string(ql.in) +
-              " != previous output " + std::to_string(q.layers_[l - 1].out) +
-              " in " + path);
+      r.fail(CheckpointFault::kShapeMismatch,
+             "layer " + std::to_string(l) + " input " +
+                 std::to_string(ql.in) + " != previous output " +
+                 std::to_string(q.layers_[l - 1].out));
     }
     const auto act = r.pod<std::uint8_t>();
     if (act > static_cast<std::uint8_t>(nn::Activation::kLinear)) {
-      throw hf::CheckpointError(hf::CheckpointFault::kCorrupt,
-                                "bad activation code in " + path);
+      r.fail(CheckpointFault::kCorrupt, "bad activation code");
     }
     ql.act = static_cast<nn::Activation>(act);
     ql.input_scale = r.pod<float>();
     ql.row_scale = r.pod_vector<float>(ql.out);
     ql.bias = r.pod_vector<float>(ql.out);
+    // out * in cannot overflow once in fits the bytes left per row.
+    r.check_count(ql.in, ql.out);
     ql.wq = r.pod_vector<std::int8_t>(ql.out * ql.in);
     ql.packed = blas::pack_int8_weights(ql.wq.data(), ql.out, ql.in,
                                         ql.row_scale.data());

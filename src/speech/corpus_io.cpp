@@ -1,8 +1,7 @@
 #include "speech/corpus_io.h"
 
 #include <cstdint>
-#include <cstring>
-#include <fstream>
+#include <string_view>
 
 #include "speech/store/format.h"
 
@@ -10,85 +9,44 @@ namespace bgqhf::speech {
 
 namespace {
 
-constexpr char kMagic[5] = {'B', 'G', 'Q', 'C', '\0'};
+constexpr std::string_view kMagic{"BGQC\0", 5};
 // v2: utterance bodies are store record frames (CRC-checked) instead of
 // bare PODs. v1 files are no longer readable; regenerate with save_corpus
 // or convert to a sharded store with the corpus_shard tool.
 constexpr std::uint32_t kVersion = 2;
 
-template <typename T>
-void write_pod(std::ostream& out, const T& v) {
-  out.write(reinterpret_cast<const char*>(&v), sizeof(T));
-}
-
-template <typename T>
-T read_pod(std::istream& in, const std::string& path) {
-  T v{};
-  in.read(reinterpret_cast<char*>(&v), sizeof(T));
-  if (!in) {
-    throw DataError(DataFault::kCorrupt, "load_corpus: truncated " + path);
-  }
-  return v;
-}
-
 }  // namespace
 
 void save_corpus(const Corpus& corpus, const std::string& path) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    throw DataError(DataFault::kIo, "save_corpus: cannot open " + path);
-  }
-  out.write(kMagic, sizeof(kMagic));
-  write_pod(out, kVersion);
-  write_pod(out, static_cast<std::uint64_t>(corpus.utterances.size()));
-  write_pod(out, static_cast<std::uint64_t>(corpus.feature_dim));
-  write_pod(out, static_cast<std::uint64_t>(corpus.num_states));
-  std::string record;
+  util::ByteWriter w;
+  w.header(kMagic, kVersion);
+  w.pod(static_cast<std::uint64_t>(corpus.utterances.size()));
+  w.pod(static_cast<std::uint64_t>(corpus.feature_dim));
+  w.pod(static_cast<std::uint64_t>(corpus.num_states));
   for (const Utterance& utt : corpus.utterances) {
-    record.clear();
-    store::append_record(record, utt, corpus.feature_dim);
-    out.write(record.data(), static_cast<std::streamsize>(record.size()));
+    store::append_record(w, utt, corpus.feature_dim);
   }
-  if (!out) throw DataError(DataFault::kIo, "save_corpus: write failed");
+  util::write_file(path, w.bytes());
 }
 
 Corpus load_corpus(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    throw DataError(DataFault::kIo, "load_corpus: cannot open " + path);
-  }
-  char magic[sizeof(kMagic)];
-  in.read(magic, sizeof(magic));
-  if (!in || std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
-    throw DataError(DataFault::kBadMagic, "load_corpus: bad magic in " + path);
-  }
-  const auto version = read_pod<std::uint32_t>(in, path);
-  if (version != kVersion) {
-    throw DataError(DataFault::kBadVersion,
-                    "load_corpus: unsupported version " +
-                        std::to_string(version) + " in " + path);
-  }
+  const std::vector<std::byte> bytes = util::read_file(path);
+  util::ByteReader r(bytes.data(), bytes.size(), path);
+  r.expect_header(kMagic, kVersion);
   Corpus corpus;
-  const auto num_utts = read_pod<std::uint64_t>(in, path);
-  corpus.feature_dim = read_pod<std::uint64_t>(in, path);
-  corpus.num_states = read_pod<std::uint64_t>(in, path);
-  if (corpus.feature_dim == 0 || corpus.feature_dim > (1u << 20)) {
-    throw DataError(DataFault::kShapeMismatch,
-                    "load_corpus: implausible feature_dim in " + path);
+  const auto num_utts = r.pod<std::uint64_t>();
+  corpus.feature_dim = r.pod<std::uint64_t>();
+  corpus.num_states = r.pod<std::uint64_t>();
+  if (corpus.feature_dim == 0 || corpus.feature_dim > store::kMaxFeatureDim) {
+    r.fail(DataFault::kShapeMismatch, "implausible feature_dim");
   }
-  // Slurp the record stream and hand it to the shared store codec frame by
-  // frame — the same decoder (and the same validation) shards use.
-  std::string body((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  corpus.utterances.reserve(num_utts);
-  std::size_t offset = 0;
+  // The record stream goes through the shared store codec frame by frame:
+  // the same decoder (and the same validation) shards use.
+  r.check_count(num_utts, store::kMinRecordBytes);
+  corpus.utterances.reserve(static_cast<std::size_t>(num_utts));
   for (std::uint64_t u = 0; u < num_utts; ++u) {
-    std::size_t consumed = 0;
     corpus.utterances.push_back(
-        store::decode_record(body.data() + offset, body.size() - offset,
-                             corpus.feature_dim, corpus.num_states, path,
-                             &consumed));
-    offset += consumed;
+        store::decode_record(r, corpus.feature_dim, corpus.num_states));
   }
   return corpus;
 }

@@ -2,12 +2,13 @@
 //
 // Big-data pipelines stage their training data once and reuse it across
 // experiments (the paper's runs read a prepared corpus from the I/O
-// nodes). The monolithic container is now a thin wrapper over the sharded
-// store's CRC-framed record codec (speech/store/format.h) — one decoder,
-// two containers. Format (little-endian, versioned):
+// nodes). The monolithic container is a util/format.h header (unsealed)
+// over the sharded store's CRC-framed record codec (speech/store/format.h):
+// one decoder, two containers. Format (little-endian, versioned):
 //   magic "BGQC\0" | u32 version | u64 num_utts, feature_dim, num_states |
 //   per utterance: one store record frame
 //                  (u32 payload_bytes | u32 crc32 | payload | pad-to-8)
+// Writes are atomic (tmp + rename).
 //
 // For corpora too large to materialize, use the sharded store
 // (speech/store/) behind ShardedSource instead.

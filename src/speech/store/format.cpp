@@ -1,7 +1,6 @@
 #include "speech/store/format.h"
 
 #include <cstring>
-#include <fstream>
 
 #include "util/checksum.h"
 
@@ -11,21 +10,11 @@ namespace {
 
 constexpr std::size_t kRecordFrameBytes = 8;   // u32 size + u32 crc
 constexpr std::size_t kRecordFixedBytes = 24;  // id, speaker, pad, frames
+static_assert(kMinRecordBytes == kRecordFrameBytes + kRecordFixedBytes);
 constexpr std::uint64_t kMaxFrames = 1ull << 26;
+constexpr std::size_t kIndexEntryBytes = 32;
 
 std::size_t pad_to_8(std::size_t n) { return (8 - n % 8) % 8; }
-
-template <typename T>
-void append_pod(std::string& out, const T& v) {
-  out.append(reinterpret_cast<const char*>(&v), sizeof(T));
-}
-
-template <typename T>
-T read_pod_at(const char* data, std::size_t offset) {
-  T v{};
-  std::memcpy(&v, data + offset, sizeof(T));
-  return v;
-}
 
 std::size_t payload_bytes_for(std::uint64_t frames, std::size_t feature_dim) {
   return kRecordFixedBytes +
@@ -55,12 +44,7 @@ std::vector<std::size_t> CorpusIndex::lengths() const {
 
 // ---- record codec ----
 
-std::size_t record_bytes(const Utterance& utt, std::size_t feature_dim) {
-  const std::size_t payload = payload_bytes_for(utt.num_frames(), feature_dim);
-  return kRecordFrameBytes + payload + pad_to_8(payload);
-}
-
-void append_record(std::string& out, const Utterance& utt,
+void append_record(util::ByteWriter& out, const Utterance& utt,
                    std::size_t feature_dim) {
   if (utt.feature_dim() != feature_dim) {
     throw DataError(DataFault::kShapeMismatch,
@@ -75,182 +59,122 @@ void append_record(std::string& out, const Utterance& utt,
                         std::to_string(frames));
   }
   const std::size_t payload = payload_bytes_for(frames, feature_dim);
-  std::string body;
-  body.reserve(payload);
-  append_pod(body, static_cast<std::uint64_t>(utt.id));
-  append_pod(body, static_cast<std::int32_t>(utt.speaker));
-  append_pod(body, std::uint32_t{0});
-  append_pod(body, frames);
-  for (const int label : utt.labels) {
-    append_pod(body, static_cast<std::int32_t>(label));
-  }
-  body.append(reinterpret_cast<const char*>(utt.features.data()),
-              utt.features.size() * sizeof(float));
-  append_pod(out, static_cast<std::uint32_t>(body.size()));
-  append_pod(out, util::crc32(body.data(), body.size()));
-  out += body;
-  out.append(pad_to_8(payload), '\0');
+  const std::size_t frame = out.bytes().size();
+  out.pod(static_cast<std::uint32_t>(payload));
+  out.pod(std::uint32_t{0});  // payload CRC, patched below
+  out.pod(static_cast<std::uint64_t>(utt.id));
+  out.pod(static_cast<std::int32_t>(utt.speaker));
+  out.pod(std::uint32_t{0});
+  out.pod(frames);
+  for (const int label : utt.labels) out.pod(static_cast<std::int32_t>(label));
+  out.raw(utt.features.data(), utt.features.size() * sizeof(float));
+  std::byte* head = out.bytes().data() + frame;
+  const std::uint32_t crc = util::crc32(head + kRecordFrameBytes, payload);
+  std::memcpy(head + sizeof(std::uint32_t), &crc, sizeof(crc));
+  constexpr std::byte kPad[8] = {};
+  out.raw(kPad, pad_to_8(payload));
 }
 
-Utterance decode_record(const char* data, std::size_t avail,
-                        std::size_t feature_dim, std::size_t num_states,
-                        const std::string& context, std::size_t* consumed) {
-  if (avail < kRecordFrameBytes + kRecordFixedBytes) {
-    throw DataError(DataFault::kCorrupt,
-                    "truncated record frame in " + context);
+Utterance decode_record(util::ByteReader& in, std::size_t feature_dim,
+                        std::size_t num_states) {
+  if (in.remaining() < kMinRecordBytes) {
+    in.fail(DataFault::kCorrupt, "truncated record frame");
   }
-  const auto payload_bytes = read_pod_at<std::uint32_t>(data, 0);
-  const auto crc = read_pod_at<std::uint32_t>(data, 4);
-  if (payload_bytes < kRecordFixedBytes ||
-      payload_bytes > avail - kRecordFrameBytes) {
-    throw DataError(DataFault::kCorrupt,
-                    "record frame exceeds remaining bytes in " + context);
+  const auto payload_bytes = in.pod<std::uint32_t>();
+  const auto crc = in.pod<std::uint32_t>();
+  if (payload_bytes < kRecordFixedBytes || payload_bytes > in.remaining()) {
+    in.fail(DataFault::kCorrupt, "record frame exceeds remaining bytes");
   }
-  const char* payload = data + kRecordFrameBytes;
-  const auto frames = read_pod_at<std::uint64_t>(payload, 16);
+  const std::byte* payload = in.take(payload_bytes);
+  util::ByteReader r(payload, payload_bytes, in.context());
+  Utterance utt;
+  utt.id = r.pod<std::uint64_t>();
+  utt.speaker = r.pod<std::int32_t>();
+  r.pod<std::uint32_t>();  // reserved
+  const auto frames = r.pod<std::uint64_t>();
   if (frames == 0 || frames > kMaxFrames) {
-    throw DataError(DataFault::kCorrupt,
-                    "implausible frame count " + std::to_string(frames) +
-                        " in " + context);
+    r.fail(DataFault::kCorrupt,
+           "implausible frame count " + std::to_string(frames));
   }
   // A frame whose declared size disagrees with the shape its own frame
   // count implies is mislabelled, not merely truncated.
-  if (payload_bytes != payload_bytes_for(frames, feature_dim)) {
-    throw DataError(
-        DataFault::kShapeMismatch,
-        "record payload " + std::to_string(payload_bytes) +
-            " bytes does not match frames=" + std::to_string(frames) +
-            " dim=" + std::to_string(feature_dim) + " in " + context);
+  if (feature_dim > kMaxFeatureDim ||
+      payload_bytes != payload_bytes_for(frames, feature_dim)) {
+    r.fail(DataFault::kShapeMismatch,
+           "record payload " + std::to_string(payload_bytes) +
+               " bytes does not match frames=" + std::to_string(frames) +
+               " dim=" + std::to_string(feature_dim));
   }
   if (util::crc32(payload, payload_bytes) != crc) {
-    throw DataError(DataFault::kCorrupt, "record CRC mismatch in " + context);
+    r.fail(DataFault::kCorrupt, "record CRC mismatch");
   }
-  Utterance utt;
-  utt.id = read_pod_at<std::uint64_t>(payload, 0);
-  utt.speaker = read_pod_at<std::int32_t>(payload, 8);
   utt.labels.resize(frames);
-  const char* labels = payload + kRecordFixedBytes;
-  for (std::uint64_t t = 0; t < frames; ++t) {
-    const auto label =
-        read_pod_at<std::int32_t>(labels, t * sizeof(std::int32_t));
-    if (label < 0 ||
-        static_cast<std::size_t>(label) >= num_states) {
-      throw DataError(DataFault::kCorrupt,
-                      "label " + std::to_string(label) +
-                          " out of range in " + context);
+  for (int& label : utt.labels) {
+    const auto v = r.pod<std::int32_t>();
+    if (v < 0 || static_cast<std::size_t>(v) >= num_states) {
+      r.fail(DataFault::kCorrupt,
+             "label " + std::to_string(v) + " out of range");
     }
-    utt.labels[static_cast<std::size_t>(t)] = label;
+    label = v;
   }
   utt.features = blas::Matrix<float>(frames, feature_dim);
-  std::memcpy(utt.features.data(),
-              labels + static_cast<std::size_t>(frames) * sizeof(std::int32_t),
-              utt.features.size() * sizeof(float));
-  if (consumed != nullptr) {
-    *consumed = kRecordFrameBytes + payload_bytes +
-                pad_to_8(payload_bytes);
-  }
+  const std::size_t feature_bytes = utt.features.size() * sizeof(float);
+  std::memcpy(utt.features.data(), r.take(feature_bytes), feature_bytes);
+  in.skip<std::byte>(pad_to_8(payload_bytes));
   return utt;
 }
 
 // ---- index I/O ----
 
 void save_index(const CorpusIndex& index, const std::string& path) {
-  std::string blob;
-  blob.append(kIndexMagic, sizeof(kIndexMagic));
-  append_pod(blob, kIndexVersion);
-  append_pod(blob, static_cast<std::uint32_t>(index.shard_files.size()));
-  append_pod(blob, static_cast<std::uint64_t>(index.feature_dim));
-  append_pod(blob, static_cast<std::uint64_t>(index.num_states));
-  append_pod(blob, static_cast<std::uint64_t>(index.entries.size()));
+  util::ByteWriter w;
+  w.header(kIndexMagic, kIndexVersion);
+  w.pod(static_cast<std::uint32_t>(index.shard_files.size()));
+  w.pod(static_cast<std::uint64_t>(index.feature_dim));
+  w.pod(static_cast<std::uint64_t>(index.num_states));
+  w.pod(static_cast<std::uint64_t>(index.entries.size()));
   for (const auto& name : index.shard_files) {
-    append_pod(blob, static_cast<std::uint32_t>(name.size()));
-    blob += name;
+    w.pod(static_cast<std::uint32_t>(name.size()));
+    w.raw(name.data(), name.size());
   }
   for (const auto& e : index.entries) {
-    append_pod(blob, e.id);
-    append_pod(blob, e.shard);
-    append_pod(blob, e.speaker);
-    append_pod(blob, e.offset);
-    append_pod(blob, e.frames);
+    w.pod(e.id);
+    w.pod(e.shard);
+    w.pod(e.speaker);
+    w.pod(e.offset);
+    w.pod(e.frames);
   }
-  append_pod(blob, util::crc32(blob.data(), blob.size()));
-
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) throw DataError(DataFault::kIo, "cannot open " + tmp);
-    out.write(blob.data(), static_cast<std::streamsize>(blob.size()));
-    if (!out) throw DataError(DataFault::kIo, "write failed: " + tmp);
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    throw DataError(DataFault::kIo, "rename failed: " + path);
-  }
+  util::write_file(path, std::move(w).seal());
 }
 
 CorpusIndex load_index(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw DataError(DataFault::kIo, "cannot open " + path);
-  std::string blob((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  constexpr std::size_t kFixed =
-      sizeof(kIndexMagic) + 2 * sizeof(std::uint32_t) +
-      3 * sizeof(std::uint64_t);
-  if (blob.size() < kFixed + sizeof(std::uint32_t)) {
-    throw DataError(DataFault::kCorrupt, "index too short: " + path);
-  }
-  if (std::memcmp(blob.data(), kIndexMagic, sizeof(kIndexMagic)) != 0) {
-    throw DataError(DataFault::kBadMagic, "not a BGQSIDX index: " + path);
-  }
-  const std::size_t body = blob.size() - sizeof(std::uint32_t);
-  const auto footer = read_pod_at<std::uint32_t>(blob.data(), body);
-  if (util::crc32(blob.data(), body) != footer) {
-    throw DataError(DataFault::kCorrupt, "index CRC mismatch: " + path);
-  }
-  std::size_t at = sizeof(kIndexMagic);
-  const auto version = read_pod_at<std::uint32_t>(blob.data(), at);
-  at += 4;
-  if (version != kIndexVersion) {
-    throw DataError(DataFault::kBadVersion,
-                    "index version " + std::to_string(version) + " in " +
-                        path);
-  }
-  const auto num_shards = read_pod_at<std::uint32_t>(blob.data(), at);
-  at += 4;
+  const std::vector<std::byte> bytes = util::read_file(path);
+  util::ByteReader r =
+      util::open_sealed(bytes, kIndexMagic, kIndexVersion, path);
+  const auto num_shards = r.pod<std::uint32_t>();
   CorpusIndex index;
-  index.feature_dim = read_pod_at<std::uint64_t>(blob.data(), at);
-  at += 8;
-  index.num_states = read_pod_at<std::uint64_t>(blob.data(), at);
-  at += 8;
-  const auto num_utts = read_pod_at<std::uint64_t>(blob.data(), at);
-  at += 8;
-  const auto need = [&](std::size_t n) {
-    if (body - at < n) {
-      throw DataError(DataFault::kCorrupt, "index truncated: " + path);
-    }
-  };
+  index.feature_dim = r.pod<std::uint64_t>();
+  index.num_states = r.pod<std::uint64_t>();
+  const auto num_utts = r.pod<std::uint64_t>();
+  r.check_count(num_shards, sizeof(std::uint32_t));
   index.shard_files.reserve(num_shards);
   for (std::uint32_t s = 0; s < num_shards; ++s) {
-    need(4);
-    const auto len = read_pod_at<std::uint32_t>(blob.data(), at);
-    at += 4;
-    need(len);
-    index.shard_files.emplace_back(blob.data() + at, len);
-    at += len;
+    const auto len = r.pod<std::uint32_t>();
+    index.shard_files.emplace_back(reinterpret_cast<const char*>(r.take(len)),
+                                   len);
   }
-  index.entries.reserve(num_utts);
+  r.check_count(num_utts, kIndexEntryBytes);
+  index.entries.reserve(static_cast<std::size_t>(num_utts));
   for (std::uint64_t u = 0; u < num_utts; ++u) {
-    need(32);
     IndexEntry e;
-    e.id = read_pod_at<std::uint64_t>(blob.data(), at);
-    e.shard = read_pod_at<std::uint32_t>(blob.data(), at + 8);
-    e.speaker = read_pod_at<std::int32_t>(blob.data(), at + 12);
-    e.offset = read_pod_at<std::uint64_t>(blob.data(), at + 16);
-    e.frames = read_pod_at<std::uint64_t>(blob.data(), at + 24);
-    at += 32;
+    e.id = r.pod<std::uint64_t>();
+    e.shard = r.pod<std::uint32_t>();
+    e.speaker = r.pod<std::int32_t>();
+    e.offset = r.pod<std::uint64_t>();
+    e.frames = r.pod<std::uint64_t>();
     if (e.shard >= index.shard_files.size()) {
-      throw DataError(DataFault::kCorrupt,
-                      "index entry points at missing shard " +
-                          std::to_string(e.shard) + ": " + path);
+      r.fail(DataFault::kCorrupt,
+             "index entry points at missing shard " + std::to_string(e.shard));
     }
     index.entries.push_back(e);
   }

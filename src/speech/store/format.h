@@ -30,25 +30,32 @@
 //                  u64 frames |
 //   u32 crc32 over every preceding byte
 //
-// The index alone carries everything partitioning and held-out splitting
-// need (ids, lengths, shard placement), so utterance assignment never
-// touches shard data. Decoders validate magic, version, CRC, and shape
-// and throw typed speech::DataError on any mismatch.
+// The index is a sealed util/format.h container; the shard header uses the
+// same magic/version check unsealed, since every record carries its own
+// CRC. The index alone carries everything partitioning and held-out
+// splitting need (ids, lengths, shard placement), so utterance assignment
+// never touches shard data. Decoders validate magic, version, CRC, and
+// shape and throw typed speech::DataError on any mismatch.
 #pragma once
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "speech/error.h"
 #include "speech/utterance.h"
+#include "util/format.h"
 
 namespace bgqhf::speech::store {
 
-inline constexpr char kShardMagic[8] = {'B', 'G', 'Q', 'S', '1', 0, 0, 0};
+inline constexpr std::string_view kShardMagic{"BGQS1\0\0\0", 8};
 inline constexpr std::uint32_t kShardVersion = 1;
-inline constexpr char kIndexMagic[8] = {'B', 'G', 'Q', 'S', 'I', 'D', 'X', 0};
+inline constexpr std::string_view kIndexMagic{"BGQSIDX\0", 8};
 inline constexpr std::uint32_t kIndexVersion = 1;
+/// Largest feature dimension a decoder accepts: keeps every record size
+/// computed from a decoded shape far from overflow.
+inline constexpr std::size_t kMaxFeatureDim = std::size_t{1} << 20;
 inline constexpr const char* kIndexFileName = "index.bgqsx";
 /// Fixed shard header size; the first record starts here.
 inline constexpr std::size_t kShardHeaderBytes = 40;
@@ -87,21 +94,18 @@ struct CorpusIndex {
 
 // ---- record codec ----
 
-/// Serialized size of one utterance record, framing and padding included.
-std::size_t record_bytes(const Utterance& utt, std::size_t feature_dim);
+/// Smallest possible record frame (header plus fixed payload fields).
+inline constexpr std::size_t kMinRecordBytes = 32;
 
-/// Append the CRC-framed record for `utt` to `out` (binary-safe buffer).
-void append_record(std::string& out, const Utterance& utt,
+/// Append the CRC-framed record for `utt` to `out`.
+void append_record(util::ByteWriter& out, const Utterance& utt,
                    std::size_t feature_dim);
 
-/// Decode one record starting at `data` (with `avail` readable bytes).
-/// Validates the frame, CRC, and shape against `feature_dim`/`num_states`;
-/// `context` names the source (file path) for error messages. On success
-/// sets `*consumed` (frame + payload + padding) when non-null.
-Utterance decode_record(const char* data, std::size_t avail,
-                        std::size_t feature_dim, std::size_t num_states,
-                        const std::string& context,
-                        std::size_t* consumed = nullptr);
+/// Decode the record at the reader's position and consume it (frame,
+/// payload, and padding). Validates the frame, CRC, and shape against
+/// `feature_dim`/`num_states`; errors name the reader's context.
+Utterance decode_record(util::ByteReader& in, std::size_t feature_dim,
+                        std::size_t num_states);
 
 // ---- index I/O ----
 

@@ -5,8 +5,6 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
-#include <cstring>
-
 #include "util/rng.h"
 
 namespace bgqhf::speech::store {
@@ -43,28 +41,20 @@ MappedShard::MappedShard(const std::string& path,
   // A throwing constructor never runs the destructor: unmap by hand on any
   // validation failure.
   try {
-    if (std::memcmp(data_, kShardMagic, sizeof(kShardMagic)) != 0) {
-      throw DataError(DataFault::kBadMagic, "not a BGQS1 shard: " + path);
-    }
-    std::uint32_t version = 0;
-    std::memcpy(&version, data_ + 8, sizeof(version));
-    if (version != kShardVersion) {
-      throw DataError(DataFault::kBadVersion, "shard version " +
-                                                  std::to_string(version) +
-                                                  ": " + path);
-    }
-    std::memcpy(&header_.feature_dim, data_ + 16, sizeof(std::uint64_t));
-    std::memcpy(&header_.num_states, data_ + 24, sizeof(std::uint64_t));
-    std::memcpy(&header_.num_records, data_ + 32, sizeof(std::uint64_t));
+    util::ByteReader r(data_, bytes_, path);
+    r.expect_header(kShardMagic, kShardVersion);
+    r.pod<std::uint32_t>();  // reserved
+    header_.feature_dim = r.pod<std::uint64_t>();
+    header_.num_states = r.pod<std::uint64_t>();
+    header_.num_records = r.pod<std::uint64_t>();
     if (header_.feature_dim != expect_feature_dim ||
         header_.num_states != expect_num_states) {
-      throw DataError(
-          DataFault::kShapeMismatch,
-          "shard shape (dim=" + std::to_string(header_.feature_dim) +
-              ", states=" + std::to_string(header_.num_states) +
-              ") does not match index (dim=" +
-              std::to_string(expect_feature_dim) +
-              ", states=" + std::to_string(expect_num_states) + "): " + path);
+      r.fail(DataFault::kShapeMismatch,
+             "shard shape (dim=" + std::to_string(header_.feature_dim) +
+                 ", states=" + std::to_string(header_.num_states) +
+                 ") does not match index (dim=" +
+                 std::to_string(expect_feature_dim) +
+                 ", states=" + std::to_string(expect_num_states) + ")");
     }
   } catch (...) {
     ::munmap(const_cast<char*>(data_), bytes_);
@@ -95,8 +85,11 @@ Utterance MappedShard::decode_at(std::uint64_t offset,
                     "record offset " + std::to_string(offset) +
                         " outside shard: " + path_);
   }
-  return decode_record(data_ + offset, bytes_ - offset, header_.feature_dim,
-                       header_.num_states, path_, consumed);
+  util::ByteReader r(data_ + offset, bytes_ - offset, path_);
+  Utterance utt =
+      decode_record(r, header_.feature_dim, header_.num_states);
+  if (consumed != nullptr) *consumed = r.pos();
+  return utt;
 }
 
 Utterance MappedShard::read_at(std::uint64_t offset,

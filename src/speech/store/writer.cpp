@@ -3,7 +3,6 @@
 #include <sys/stat.h>
 
 #include <cstdint>
-#include <cstring>
 
 namespace bgqhf::speech::store {
 
@@ -27,9 +26,8 @@ void write_all(std::FILE* f, const void* data, std::size_t n,
   }
 }
 
-template <typename T>
-void write_pod(std::FILE* f, const T& v, const std::string& path) {
-  write_all(f, &v, sizeof(T), path);
+void write_all(std::FILE* f, util::ByteWriter& w, const std::string& path) {
+  write_all(f, w.bytes().data(), w.bytes().size(), path);
 }
 
 }  // namespace
@@ -60,12 +58,13 @@ void ShardWriter::open_next_shard() {
   if (shard_ == nullptr) {
     throw DataError(DataFault::kIo, "cannot open shard: " + path);
   }
-  write_all(shard_, kShardMagic, sizeof(kShardMagic), path);
-  write_pod(shard_, kShardVersion, path);
-  write_pod(shard_, std::uint32_t{0}, path);
-  write_pod(shard_, static_cast<std::uint64_t>(index_.feature_dim), path);
-  write_pod(shard_, static_cast<std::uint64_t>(index_.num_states), path);
-  write_pod(shard_, std::uint64_t{0}, path);  // num_records, patched at seal
+  util::ByteWriter header;
+  header.header(kShardMagic, kShardVersion);
+  header.pod(std::uint32_t{0});  // reserved
+  header.pod(static_cast<std::uint64_t>(index_.feature_dim));
+  header.pod(static_cast<std::uint64_t>(index_.num_states));
+  header.pod(std::uint64_t{0});  // num_records, patched at seal
+  write_all(shard_, header, path);
   shard_offset_ = kShardHeaderBytes;
   shard_records_ = 0;
   index_.shard_files.push_back(shard_name_);
@@ -77,7 +76,7 @@ void ShardWriter::seal_shard() {
   if (std::fseek(shard_, 32, SEEK_SET) != 0) {
     throw DataError(DataFault::kIo, "seek failed: " + path);
   }
-  write_pod(shard_, shard_records_, path);
+  write_all(shard_, &shard_records_, sizeof(shard_records_), path);
   if (std::fclose(shard_) != 0) {
     shard_ = nullptr;
     throw DataError(DataFault::kIo, "close failed: " + path);
@@ -93,8 +92,7 @@ void ShardWriter::add(const Utterance& utt) {
     seal_shard();
     open_next_shard();
   }
-  std::string record;
-  record.reserve(record_bytes(utt, index_.feature_dim));
+  util::ByteWriter record;
   append_record(record, utt, index_.feature_dim);
 
   IndexEntry entry;
@@ -103,9 +101,9 @@ void ShardWriter::add(const Utterance& utt) {
   entry.speaker = utt.speaker;
   entry.offset = shard_offset_;
   entry.frames = utt.num_frames();
-  write_all(shard_, record.data(), record.size(), join(dir_, shard_name_));
-  shard_offset_ += record.size();
-  bytes_written_ += record.size();
+  write_all(shard_, record, join(dir_, shard_name_));
+  shard_offset_ += record.bytes().size();
+  bytes_written_ += record.bytes().size();
   ++shard_records_;
   index_.entries.push_back(entry);
 }

@@ -13,12 +13,13 @@
 
 #include <cmath>
 
+#include "hf/checkpoint.h"
 #include "hf/serial_compute.h"
 #include "hf/sgd.h"
 #include "hf/trainer.h"
 #include "nn/rbm.h"
 #include "nn/sequence.h"
-#include "nn/serialize.h"
+#include "serve/model_runtime.h"
 #include "speech/corpus_io.h"
 #include "speech/dataset.h"
 
@@ -91,10 +92,15 @@ TEST_F(PipelineTest, EndToEnd) {
             hf_result.iterations.front().heldout_before);
   EXPECT_GT(hf_result.final_heldout_accuracy, 0.6);
 
-  // ---- 5. checkpoint and reload ----
+  // ---- 5. checkpoint and reload through the serving path ----
   net.set_params(theta);
-  nn::save_network(net, model_path_);
-  const nn::Network restored = nn::load_network(model_path_);
+  hf::TrainerCheckpoint ckpt;
+  ckpt.completed_iterations = hf_result.iterations.size();
+  ckpt.theta = theta;
+  ckpt.d0.assign(theta.size(), 0.0f);
+  hf::save_checkpoint(ckpt, model_path_);
+  const auto runtime = serve::ModelRuntime::from_checkpoint(model_path_, net);
+  const nn::Network& restored = runtime->network();
   for (std::size_t i = 0; i < net.num_params(); ++i) {
     ASSERT_EQ(restored.params()[i], net.params()[i]);
   }
