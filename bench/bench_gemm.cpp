@@ -185,9 +185,9 @@ double measure_fused_forward_gflops(std::size_t batch, std::size_t in,
   return 2.0 * batch * in * out * reps / timer.seconds() / 1e9;
 }
 
-// Name of the microkernel a given precision tier actually dispatches to.
-// The avx512 table aliases the avx2 fp32 kernels (only the reduced-precision
-// entries are new code), so fp32 reports "avx2" even when kind==kAvx512.
+// Name of the microkernel a given precision tier actually dispatches to:
+// fp32 runs the active table's own SGEMM kernel; the reduced tiers have
+// vector kernels only in the avx512 table and scalar references below it.
 const char* tier_kernel_name(bgqhf::blas::Precision p) {
   const bgqhf::blas::KernelKind kind = bgqhf::blas::active_kernels().kind;
   const bool avx512 = kind == bgqhf::blas::KernelKind::kAvx512;
@@ -198,18 +198,45 @@ const char* tier_kernel_name(bgqhf::blas::Precision p) {
       return avx512 ? "int8(avx512)" : "int8(scalar)";
     case bgqhf::blas::Precision::kFp32:
     default:
-      return avx512 ? "avx2" : to_string(kind);
+      return to_string(kind);
+  }
+}
+
+// Serial fp32 512x2048x2048 GFLOP/s with the avx2 kernel pinned, or 0 when
+// the host cannot run it. This is the baseline the avx512 kernel and the
+// bf16 tier are gated against.
+double measure_forced_avx2_serial() {
+  using bgqhf::blas::KernelKind;
+  if (!bgqhf::blas::kernel_supported(KernelKind::kAvx2)) return 0.0;
+  const KernelKind prev = bgqhf::blas::active_kernels().kind;
+  bgqhf::blas::set_kernel_override(KernelKind::kAvx2);
+  const double gflops = measure_gemm_gflops(512, 2048, 2048, nullptr);
+  bgqhf::blas::set_kernel_override(prev);
+  return gflops;
+}
+
+// One section field: `"key": num / den` or `"key": null` when there is no
+// baseline.
+void emit_ratio(std::FILE* out, const char* key, double num, double den,
+                bool trailing_comma) {
+  const char* comma = trailing_comma ? "," : "";
+  if (den > 0.0) {
+    std::fprintf(out, "    \"%s\": %.3f%s\n", key, num / den, comma);
+  } else {
+    std::fprintf(out, "    \"%s\": null%s\n", key, comma);
   }
 }
 
 // Emits one reduced-precision section. Measurements run with the precision
 // override pinned for the section, so gemm<float> routes through the bf16 /
-// int8 engines; fp32 is restored before returning. `fp32_serial` is the
-// matched-shape fp32 number the trajectory gate divides by.
+// int8 engines; fp32 is restored before returning. `fp32_serial` and
+// `fp32_avx2_serial` are the matched-shape fp32 numbers (default and
+// avx2-pinned kernel) the trajectory gates divide by.
 void emit_precision_section(std::FILE* out, const char* name,
                             bgqhf::blas::Precision p,
                             bgqhf::util::ThreadPool* pool,
-                            double fp32_serial, bool trailing_comma) {
+                            double fp32_serial, double fp32_avx2_serial,
+                            bool trailing_comma) {
   bgqhf::blas::set_precision_override(p);
   const double serial = measure_gemm_gflops(512, 2048, 2048, nullptr);
   const double threaded = measure_gemm_gflops(512, 2048, 2048, pool);
@@ -223,8 +250,10 @@ void emit_precision_section(std::FILE* out, const char* name,
                threaded);
   std::fprintf(out, "    \"sgemm_256x2048x440_serial\": %.3f,\n", tall);
   std::fprintf(out, "    \"fused_forward_512x2048x2048\": %.3f,\n", fused);
-  std::fprintf(out, "    \"speedup_vs_fp32_512x2048x2048\": %.3f\n",
-               serial / fp32_serial);
+  emit_ratio(out, "speedup_vs_fp32_512x2048x2048", serial, fp32_serial,
+             /*trailing_comma=*/true);
+  emit_ratio(out, "speedup_vs_fp32_avx2_512x2048x2048", serial,
+             fp32_avx2_serial, /*trailing_comma=*/false);
   std::fprintf(out, "  }%s\n", trailing_comma ? "," : "");
 }
 
@@ -241,6 +270,7 @@ int run_json_reporter(const char* path) {
   // BGQHF_PRECISION; the bf16/int8 sections below set their own override.
   bgqhf::blas::set_precision_override(bgqhf::blas::Precision::kFp32);
   const double fp32_serial = measure_gemm_gflops(512, 2048, 2048, nullptr);
+  const double fp32_avx2_serial = measure_forced_avx2_serial();
   std::fprintf(out, "{\n");
   std::fprintf(out, "  \"bench\": \"bench_gemm\",\n");
   std::fprintf(out, "  \"kernel\": \"%s\",\n",
@@ -250,6 +280,15 @@ int run_json_reporter(const char* path) {
   std::fprintf(out, "  \"pool_threads\": %zu,\n", pool.size());
   std::fprintf(out, "  \"units\": \"GFLOP/s\",\n");
   std::fprintf(out, "  \"sgemm_512x2048x2048_serial\": %.3f,\n", fp32_serial);
+  if (fp32_avx2_serial > 0.0) {
+    std::fprintf(out, "  \"sgemm_512x2048x2048_serial_avx2\": %.3f,\n",
+                 fp32_avx2_serial);
+    std::fprintf(out, "  \"speedup_vs_avx2_512x2048x2048\": %.3f,\n",
+                 fp32_serial / fp32_avx2_serial);
+  } else {
+    std::fprintf(out, "  \"sgemm_512x2048x2048_serial_avx2\": null,\n");
+    std::fprintf(out, "  \"speedup_vs_avx2_512x2048x2048\": null,\n");
+  }
   std::fprintf(out, "  \"sgemm_512x2048x2048_threaded\": %.3f,\n",
                measure_gemm_gflops(512, 2048, 2048, &pool));
   std::fprintf(out, "  \"sgemm_256x2048x440_serial\": %.3f,\n",
@@ -261,9 +300,11 @@ int run_json_reporter(const char* path) {
   std::fprintf(out, "  \"unfused_forward_512x2048x2048\": %.3f,\n",
                measure_fused_forward_gflops(512, 2048, 2048, false));
   emit_precision_section(out, "bf16", bgqhf::blas::Precision::kBf16, &pool,
-                         fp32_serial, /*trailing_comma=*/true);
+                         fp32_serial, fp32_avx2_serial,
+                         /*trailing_comma=*/true);
   emit_precision_section(out, "int8", bgqhf::blas::Precision::kInt8, &pool,
-                         fp32_serial, /*trailing_comma=*/false);
+                         fp32_serial, fp32_avx2_serial,
+                         /*trailing_comma=*/false);
   bgqhf::blas::reset_precision();
   std::fprintf(out, "}\n");
   if (out != stdout) std::fclose(out);

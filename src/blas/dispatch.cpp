@@ -71,12 +71,13 @@ constexpr KernelTable kAvx2Table{KernelKind::kAvx2, &sgemm_microkernel_avx2,
 #endif
 
 #if defined(BGQHF_HAVE_AVX512_TU) && defined(BGQHF_HAVE_AVX2_TU)
-// The avx512 tier exists for the reduced-precision kernels only; its fp32
-// entries alias the avx2 functions so auto-selecting it cannot perturb any
-// fp32 result (the default-mode bitwise guarantee).
+// The 8x16 zmm SGEMM kernel is bitwise identical to the avx2 one (same
+// per-element FMA sequence and write-back), and the level-1 entries are
+// the avx2 functions, so auto-selecting avx512 cannot perturb any fp32
+// result (the default-mode bitwise guarantee).
 constexpr KernelTable kAvx512Table{
-    KernelKind::kAvx512,   &sgemm_microkernel_avx2,  &sdot_avx2,
-    &saxpy_avx2,           &sscal_avx2,              &topk_select_avx2,
+    KernelKind::kAvx512,   &sgemm_microkernel_avx512, &sdot_avx2,
+    &saxpy_avx2,           &sscal_avx2,               &topk_select_avx2,
     &bf16_microkernel_avx512, &int8_microkernel_avx512};
 #endif
 

@@ -6,11 +6,14 @@
 // __builtin_cpu_supports) and select the best available implementation
 // through a function-pointer table:
 //
-//   avx512 - AVX-512 bf16/int8 reduced-precision kernels (VNNI dot,
-//            widen-FMA; kernels_avx512.cpp). Its fp32 entries ARE the avx2
-//            ones, so selecting avx512 never changes fp32 numerics.
-//   avx2   - 8x8 FMA kernel, requires AVX2+FMA (kernels_avx2.cpp, built
-//            with -mavx2 -mfma in its own translation unit)
+//   avx512 - 8x16 zmm FMA kernel plus the bf16/int8 reduced-precision
+//            kernels (VNNI dot, widen-FMA; kernels_avx512.cpp). Its SGEMM
+//            kernel is bitwise identical to the avx2 one and its level-1
+//            entries are the avx2 functions, so selecting avx512 never
+//            changes fp32 numerics.
+//   avx2   - FMA kernel walking the 8x16 tile as two 8x8 ymm halves,
+//            requires AVX2+FMA (kernels_avx2.cpp, built with -mavx2 -mfma
+//            in its own translation unit)
 //   sse2   - 4-wide mul/add kernel, x86-64 baseline (kernels_sse2.cpp)
 //   scalar - portable reference (microkernel.h), always available
 //
@@ -39,8 +42,8 @@ enum class KernelKind { kScalar, kSse2, kAvx2, kAvx512 };
 const char* to_string(KernelKind k);
 
 /// SGEMM micro-kernel contract (see microkernel.h): C tile (mr x nr, within
-/// an 8x8 register block) = alpha * A_panel x B_panel + beta * C, with
-/// beta == 0 meaning write-only.
+/// a kMR x kNR = 8x16 register block) = alpha * A_panel x B_panel + beta *
+/// C, with beta == 0 meaning write-only.
 using SgemmMicrokernelFn = void (*)(std::size_t kc, const float* a_panel,
                                     const float* b_panel, float alpha,
                                     float beta, float* c, std::size_t ldc,

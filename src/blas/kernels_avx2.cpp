@@ -12,18 +12,22 @@
 
 namespace bgqhf::blas {
 
-void sgemm_microkernel_avx2(std::size_t kc, const float* a_panel,
-                            const float* b_panel, float alpha, float beta,
-                            float* c, std::size_t ldc, std::size_t mr,
-                            std::size_t nr) {
-  // Full 8x8 tile in eight ymm accumulators; eight independent FMA chains
-  // hide the FMA latency without software pipelining.
+namespace {
+
+/// One 8-column slice of the 8x16 tile: c (mr x nr, nr <= 8) from the
+/// slice of the packed B panel starting at b_slice.
+inline void sgemm_slice(std::size_t kc, const float* a_panel,
+                        const float* b_slice, float alpha, float beta,
+                        float* c, std::size_t ldc, std::size_t mr,
+                        std::size_t nr) {
+  // Eight ymm accumulators; eight independent FMA chains hide the FMA
+  // latency without software pipelining.
   __m256 r0 = _mm256_setzero_ps(), r1 = _mm256_setzero_ps();
   __m256 r2 = _mm256_setzero_ps(), r3 = _mm256_setzero_ps();
   __m256 r4 = _mm256_setzero_ps(), r5 = _mm256_setzero_ps();
   __m256 r6 = _mm256_setzero_ps(), r7 = _mm256_setzero_ps();
   const float* a = a_panel;
-  const float* b = b_panel;
+  const float* b = b_slice;
   for (std::size_t k = 0; k < kc; ++k, a += kMR, b += kNR) {
     const __m256 bv = _mm256_loadu_ps(b);
     r0 = _mm256_fmadd_ps(_mm256_broadcast_ss(a + 0), bv, r0);
@@ -36,10 +40,11 @@ void sgemm_microkernel_avx2(std::size_t kc, const float* a_panel,
     r7 = _mm256_fmadd_ps(_mm256_broadcast_ss(a + 7), bv, r7);
   }
 
+  // Write-back: C = alpha * acc (beta == 0, C never read), otherwise
+  // C = fma(beta, C, alpha * acc), full or fringe tile alike.
+  const __m256 rows[kMR] = {r0, r1, r2, r3, r4, r5, r6, r7};
   const __m256 av = _mm256_set1_ps(alpha);
-  if (mr == kMR && nr == kNR) {
-    // Full-tile fast path: vector writeback straight into C.
-    __m256 rows[kMR] = {r0, r1, r2, r3, r4, r5, r6, r7};
+  if (mr == kMR && nr == 8) {
     if (beta == 0.0f) {
       for (std::size_t i = 0; i < kMR; ++i) {
         _mm256_storeu_ps(c + i * ldc, _mm256_mul_ps(av, rows[i]));
@@ -54,29 +59,39 @@ void sgemm_microkernel_avx2(std::size_t kc, const float* a_panel,
     }
     return;
   }
+  alignas(32) float acc[kMR * 8];
+  for (std::size_t i = 0; i < kMR; ++i) {
+    _mm256_store_ps(acc + i * 8, _mm256_mul_ps(av, rows[i]));
+  }
+  for (std::size_t i = 0; i < mr; ++i) {
+    float* crow = c + i * ldc;
+    const float* arow = acc + i * 8;
+    if (beta == 0.0f) {
+      for (std::size_t j = 0; j < nr; ++j) crow[j] = arow[j];
+    } else {
+      for (std::size_t j = 0; j < nr; ++j) {
+        crow[j] = std::fma(beta, crow[j], arow[j]);
+      }
+    }
+  }
+}
 
-  // Fringe tile: spill the accumulators and write the valid region.
-  alignas(32) float acc[kMR * kNR];
-  _mm256_store_ps(acc + 0 * kNR, r0);
-  _mm256_store_ps(acc + 1 * kNR, r1);
-  _mm256_store_ps(acc + 2 * kNR, r2);
-  _mm256_store_ps(acc + 3 * kNR, r3);
-  _mm256_store_ps(acc + 4 * kNR, r4);
-  _mm256_store_ps(acc + 5 * kNR, r5);
-  _mm256_store_ps(acc + 6 * kNR, r6);
-  _mm256_store_ps(acc + 7 * kNR, r7);
-  if (beta == 0.0f) {
-    for (std::size_t i = 0; i < mr; ++i) {
-      for (std::size_t j = 0; j < nr; ++j) {
-        c[i * ldc + j] = alpha * acc[i * kNR + j];
-      }
-    }
-  } else {
-    for (std::size_t i = 0; i < mr; ++i) {
-      for (std::size_t j = 0; j < nr; ++j) {
-        c[i * ldc + j] = alpha * acc[i * kNR + j] + beta * c[i * ldc + j];
-      }
-    }
+}  // namespace
+
+void sgemm_microkernel_avx2(std::size_t kc, const float* a_panel,
+                            const float* b_panel, float alpha, float beta,
+                            float* c, std::size_t ldc, std::size_t mr,
+                            std::size_t nr) {
+  // The 16 ymm registers hold one 8x8 half of the 8x16 tile at a time, so
+  // the packed panel is walked as two 8-column halves (the second only
+  // when the tile reaches past column 8). Each C element still gets one
+  // FMA per k in ascending order from zero: bitwise the same as the
+  // AVX-512 kernel, which holds the whole tile at once.
+  sgemm_slice(kc, a_panel, b_panel, alpha, beta, c, ldc, mr,
+              nr < 8 ? nr : 8);
+  if (nr > 8) {
+    sgemm_slice(kc, a_panel, b_panel + 8, alpha, beta, c + 8, ldc, mr,
+                nr - 8);
   }
 }
 

@@ -10,8 +10,56 @@
 #include <cstring>
 
 #include "blas/kernels_reduced.h"
+#include "blas/pack.h"
 
 namespace bgqhf::blas {
+
+void sgemm_microkernel_avx512(std::size_t kc, const float* a_panel,
+                              const float* b_panel, float alpha, float beta,
+                              float* c, std::size_t ldc, std::size_t mr,
+                              std::size_t nr) {
+  static_assert(kNR == 16, "one zmm register per packed B row");
+  // Per k-step: one 16-wide B load plus eight broadcast-FMAs, eight
+  // independent FMA chains.
+  __m512 r0 = _mm512_setzero_ps(), r1 = _mm512_setzero_ps();
+  __m512 r2 = _mm512_setzero_ps(), r3 = _mm512_setzero_ps();
+  __m512 r4 = _mm512_setzero_ps(), r5 = _mm512_setzero_ps();
+  __m512 r6 = _mm512_setzero_ps(), r7 = _mm512_setzero_ps();
+  const float* a = a_panel;
+  const float* b = b_panel;
+  for (std::size_t k = 0; k < kc; ++k, a += kMR, b += kNR) {
+    const __m512 bv = _mm512_loadu_ps(b);
+    r0 = _mm512_fmadd_ps(_mm512_set1_ps(a[0]), bv, r0);
+    r1 = _mm512_fmadd_ps(_mm512_set1_ps(a[1]), bv, r1);
+    r2 = _mm512_fmadd_ps(_mm512_set1_ps(a[2]), bv, r2);
+    r3 = _mm512_fmadd_ps(_mm512_set1_ps(a[3]), bv, r3);
+    r4 = _mm512_fmadd_ps(_mm512_set1_ps(a[4]), bv, r4);
+    r5 = _mm512_fmadd_ps(_mm512_set1_ps(a[5]), bv, r5);
+    r6 = _mm512_fmadd_ps(_mm512_set1_ps(a[6]), bv, r6);
+    r7 = _mm512_fmadd_ps(_mm512_set1_ps(a[7]), bv, r7);
+  }
+
+  // Write-back: C = alpha * acc (beta == 0, C never read), otherwise
+  // C = fma(beta, C, alpha * acc). Columns past nr are masked off, so a
+  // fringe tile neither reads nor writes outside its mr x nr region.
+  const __m512 rows[kMR] = {r0, r1, r2, r3, r4, r5, r6, r7};
+  const __m512 av = _mm512_set1_ps(alpha);
+  const __mmask16 cols =
+      static_cast<__mmask16>(nr >= kNR ? 0xFFFFu : (1u << nr) - 1u);
+  if (beta == 0.0f) {
+    for (std::size_t i = 0; i < mr; ++i) {
+      _mm512_mask_storeu_ps(c + i * ldc, cols, _mm512_mul_ps(av, rows[i]));
+    }
+  } else {
+    const __m512 bv = _mm512_set1_ps(beta);
+    for (std::size_t i = 0; i < mr; ++i) {
+      const __m512 cv = _mm512_maskz_loadu_ps(cols, c + i * ldc);
+      const __m512 scaled = _mm512_mul_ps(av, rows[i]);
+      _mm512_mask_storeu_ps(c + i * ldc, cols,
+                            _mm512_fmadd_ps(bv, cv, scaled));
+    }
+  }
+}
 
 void bf16_microkernel_avx512(std::size_t kc, const float* a_panel,
                              const std::uint16_t* b_panel, float* acc) {

@@ -16,8 +16,8 @@ namespace bgqhf::blas {
 #if defined(__SSE2__)
 #define BGQHF_HAVE_SSE2_KERNELS 1
 
-/// 8x8 register-blocked SGEMM kernel; same contract as microkernel<float>
-/// (beta == 0 writes without reading C).
+/// 8x16 SGEMM kernel computed one 4-column slice at a time; same contract
+/// as microkernel<float> (beta == 0 writes without reading C).
 void sgemm_microkernel_sse2(std::size_t kc, const float* a_panel,
                             const float* b_panel, float alpha, float beta,
                             float* c, std::size_t ldc, std::size_t mr,

@@ -12,10 +12,14 @@
 
 namespace bgqhf::blas {
 
-/// Register-block dimensions (the paper's inner kernel updates an 8x8 C
-/// block by a sequence of outer products).
+/// Register-block dimensions (the paper's inner kernel updates a C block
+/// by a sequence of outer products). One packed-B layout serves every
+/// kernel: the AVX-512 kernel holds the full 8x16 tile in zmm registers,
+/// the AVX2 and SSE2 kernels walk the 16-wide panel in 8- and 4-wide
+/// column slices, and the reduced-precision tiers use the same 16 columns
+/// (kNRmx).
 inline constexpr std::size_t kMR = 8;
-inline constexpr std::size_t kNR = 8;
+inline constexpr std::size_t kNR = 16;
 
 /// Pack an mc x kc block of op(A) starting at (row0, col0) of the logical
 /// operand. When trans is true the logical operand is A^T (the view `a` is

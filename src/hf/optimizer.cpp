@@ -192,12 +192,17 @@ HfResult HfOptimizer::run(HfCompute& compute, std::span<float> theta,
     }
 
     // --- Armijo line search along the chosen iterate. ---
+    // Backtracking already evaluated theta + 1.0 * d (the same float
+    // expression, so the same bits): reuse loss_best for alpha == 1.0
+    // rather than paying another set_params broadcast and held-out pass.
     const std::span<const float> d = cg.iterates[best_idx];
     const double directional = blas::dot<float>(grad, d);
     LineSearchOptions ls_opts = options_.linesearch;
     const LineSearchResult ls = armijo_backtrack(
-        [&](double alpha) { return loss_at_step(d, alpha); }, loss_prev,
-        directional, ls_opts);
+        [&](double alpha) {
+          return alpha == 1.0 ? loss_best : loss_at_step(d, alpha);
+        },
+        loss_prev, directional, ls_opts);
 
     if (ls.alpha <= 0.0) {
       lm.on_failed_iteration();

@@ -1,14 +1,17 @@
 // Kernel-dispatch parity suite: every micro-kernel the build/CPU offers
-// (scalar reference, SSE2, AVX2+FMA) must agree with gemm_naive across all
-// mr/nr fringe combinations, both Trans settings, and beta in {0, 1, 0.5};
-// and the fused-epilogue path must agree with the unfused reference
-// *bitwise* (same kernel, same scalar formulas, same application order --
-// fusion changes when the elementwise tail runs, not what it computes).
+// (scalar reference, SSE2, AVX2+FMA, AVX-512) must agree with gemm_naive
+// across all mr/nr fringe combinations, both Trans settings, and beta in
+// {0, 1, 0.5}; the fused-epilogue path must agree with the unfused
+// reference *bitwise* (same kernel, same scalar formulas, same application
+// order -- fusion changes when the elementwise tail runs, not what it
+// computes); and the two FMA kernels, avx2 and avx512, must agree with
+// each other bitwise.
 #include "blas/dispatch.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include "blas/gemm.h"
@@ -23,6 +26,9 @@ std::vector<KernelKind> supported_kernels() {
   std::vector<KernelKind> out{KernelKind::kScalar};
   if (kernel_supported(KernelKind::kSse2)) out.push_back(KernelKind::kSse2);
   if (kernel_supported(KernelKind::kAvx2)) out.push_back(KernelKind::kAvx2);
+  if (kernel_supported(KernelKind::kAvx512)) {
+    out.push_back(KernelKind::kAvx512);
+  }
   return out;
 }
 
@@ -46,6 +52,11 @@ Matrix<float> random_matrix(std::size_t r, std::size_t c, util::Rng& rng) {
     }
   }
   return m;
+}
+
+bool bitwise_equal(const Matrix<float>& a, const Matrix<float>& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
 }
 
 double max_abs_diff(const Matrix<float>& a, const Matrix<float>& b) {
@@ -182,6 +193,121 @@ TEST(DispatchParity, Level1KernelsMatchScalar) {
     EXPECT_NEAR(dot_simd, dot_ref, 1e-9 * n) << to_string(kind);
     for (std::size_t i = 0; i < n; ++i) {
       ASSERT_NEAR(y_simd[i], y_ref[i], 1e-6) << to_string(kind) << " " << i;
+    }
+  }
+}
+
+// ---- avx2 == avx512 (fp32) ----
+
+// The avx512 SGEMM kernel must give every C element exactly the avx2
+// kernel's arithmetic. m and n run over 17..32, so every (m mod 16,
+// n mod 16) fringe occurs with at least one full tile beside it; k = 300
+// spans two k-blocks at the default kc = 256, so the first block applies
+// beta and the second accumulates with beta = 1.
+TEST(CrossIsaParity, Avx2AndAvx512Fp32AreBitwiseIdentical) {
+  if (!kernel_supported(KernelKind::kAvx512)) {
+    GTEST_SKIP() << "no avx512 on this host";
+  }
+  const std::size_t k = 300;
+  ASSERT_GT(k, GemmBlocking{}.kc);
+  util::ThreadPool pool(4);
+  util::ThreadPool* const pools[] = {nullptr, &pool};
+  for (std::size_t m = 17; m <= 32; ++m) {
+    for (std::size_t n = 17; n <= 32; ++n) {
+      for (const bool ta : {false, true}) {
+        for (const bool tb : {false, true}) {
+          util::Rng rng(m * 131 + n * 7 + (ta ? 1 : 0) + (tb ? 2 : 0));
+          const Matrix<float> a =
+              ta ? random_matrix(k, m, rng) : random_matrix(m, k, rng);
+          const Matrix<float> b =
+              tb ? random_matrix(n, k, rng) : random_matrix(k, n, rng);
+          const Matrix<float> c0 = random_matrix(m, n, rng);
+          const Trans transa = ta ? Trans::kYes : Trans::kNo;
+          const Trans transb = tb ? Trans::kYes : Trans::kNo;
+          for (const float alpha : {1.0f, 1.1f}) {
+            for (const float beta : {0.0f, 1.0f, 0.5f}) {
+              for (util::ThreadPool* p : pools) {
+                Matrix<float> c_avx2 = c0;
+                Matrix<float> c_avx512 = c0;
+                {
+                  ScopedKernel guard(KernelKind::kAvx2);
+                  gemm<float>(transa, transb, alpha, a.view(), b.view(),
+                              beta, c_avx2.view(), p);
+                }
+                {
+                  ScopedKernel guard(KernelKind::kAvx512);
+                  gemm<float>(transa, transb, alpha, a.view(), b.view(),
+                              beta, c_avx512.view(), p);
+                }
+                ASSERT_TRUE(bitwise_equal(c_avx2, c_avx512))
+                    << "m=" << m << " n=" << n << " ta=" << ta
+                    << " tb=" << tb << " alpha=" << alpha
+                    << " beta=" << beta << " pool=" << (p != nullptr);
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+// The same through each fused epilogue: bias + activation, the derivative
+// mask, and the bias-gradient column sums, serial and on a 4-thread pool.
+TEST(CrossIsaParity, Avx2AndAvx512EpiloguesAreBitwiseIdentical) {
+  if (!kernel_supported(KernelKind::kAvx512)) {
+    GTEST_SKIP() << "no avx512 on this host";
+  }
+  util::Rng rng(29);
+  // 3 row blocks at mc = 128, fringes in both dimensions, 2 k-blocks.
+  const std::size_t m = 301, n = 45, k = 300;
+  const Matrix<float> a = random_matrix(m, k, rng);
+  const Matrix<float> b = random_matrix(n, k, rng);
+  std::vector<float> bias(n);
+  for (auto& v : bias) v = static_cast<float>(rng.uniform(-1.0, 1.0));
+  Matrix<float> aux(m, n);
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      aux(i, j) = static_cast<float>(rng.uniform(0.01, 0.99));
+    }
+  }
+  util::ThreadPool pool(4);
+
+  util::ThreadPool* const pools[] = {nullptr, &pool};
+
+  for (const EpilogueAct act :
+       {EpilogueAct::kSigmoid, EpilogueAct::kTanh, EpilogueAct::kReLU}) {
+    for (const bool forward : {true, false}) {
+      for (util::ThreadPool* p : pools) {
+        // Forward: bias + activation. Backward: derivative mask plus the
+        // bias-gradient column sums.
+        auto run = [&](KernelKind kind, Matrix<float>& c,
+                       std::vector<float>& sums) {
+          ScopedKernel guard(kind);
+          GemmEpilogue<float> ep;
+          if (forward) {
+            ep.bias = bias.data();
+            ep.act = act;
+          } else {
+            ep.deriv_aux = aux.view();
+            ep.deriv_act = act;
+            ep.col_sums = sums.data();
+          }
+          gemm_fused<float>(Trans::kNo, Trans::kYes, 1.0f, a.view(),
+                            b.view(), 0.0f, c.view(), ep, p);
+        };
+        Matrix<float> c_avx2(m, n), c_avx512(m, n);
+        std::vector<float> sums_avx2(n, 0.25f), sums_avx512(n, 0.25f);
+        run(KernelKind::kAvx2, c_avx2, sums_avx2);
+        run(KernelKind::kAvx512, c_avx512, sums_avx512);
+        ASSERT_TRUE(bitwise_equal(c_avx2, c_avx512))
+            << "act=" << static_cast<int>(act) << " forward=" << forward
+            << " pool=" << (p != nullptr);
+        ASSERT_EQ(std::memcmp(sums_avx2.data(), sums_avx512.data(),
+                              n * sizeof(float)),
+                  0)
+            << "act=" << static_cast<int>(act) << " pool=" << (p != nullptr);
+      }
     }
   }
 }
